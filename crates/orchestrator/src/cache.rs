@@ -104,7 +104,7 @@ impl Cache {
                 return None;
             }
         };
-        let entry: CacheEntry = match serde_json::from_str(&text) {
+        let entry: CacheEntry = match serde_json::from_string(text) {
             Ok(e) => e,
             Err(e) => {
                 eprintln!("cache: corrupt entry {} ({e}); re-running", path.display());
@@ -183,7 +183,7 @@ impl Cache {
             }
             let salt = std::fs::read_to_string(&path)
                 .ok()
-                .and_then(|t| serde_json::from_str::<CacheEntry>(&t).ok())
+                .and_then(|t| serde_json::from_string::<CacheEntry>(t).ok())
                 .map(|e| e.salt);
             match salt {
                 Some(s) if s == ENGINE_SALT => stats.kept += 1,
@@ -275,6 +275,26 @@ mod tests {
         // Valid JSON, wrong shape.
         std::fs::write(dir.join(format!("{key}.json")), "[1,2,3]").unwrap();
         assert_eq!(cache.load(&key, &spec), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nesting_bomb_is_a_miss_not_an_abort() {
+        let dir = tmpdir("nesting");
+        let cache = Cache::new(&dir);
+        let spec = small_spec();
+        let key = spec.cache_key();
+        std::fs::create_dir_all(&dir).unwrap();
+        let bomb = format!("{{\"salt\":{}", "[".repeat(100_000));
+        std::fs::write(dir.join(format!("{key}.json")), bomb).unwrap();
+        assert_eq!(cache.load(&key, &spec), None);
+        assert_eq!(
+            cache.gc().unwrap(),
+            GcStats {
+                corrupt: 1,
+                ..GcStats::default()
+            }
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

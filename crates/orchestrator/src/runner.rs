@@ -284,7 +284,7 @@ fn try_worker(
     }
     let text = std::fs::read_to_string(out_path).map_err(|e| format!("read worker output: {e}"))?;
     let entry: CacheEntry =
-        serde_json::from_str(&text).map_err(|e| format!("parse worker output: {e}"))?;
+        serde_json::from_string(text).map_err(|e| format!("parse worker output: {e}"))?;
     if entry.key != key || &entry.spec != spec || entry.salt != ENGINE_SALT {
         return Err("worker output does not match the requested spec".to_string());
     }
